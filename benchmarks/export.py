@@ -86,10 +86,10 @@ def bench_event_loop(repeats: int) -> dict:
 def bench_event_cohort(repeats: int) -> dict:
     """Same-instant event fan-out: 50 processes ticking in lock-step.
 
-    Every tick lands 50 timeouts on one timestamp, so the run loop
-    dispatches them as cohorts (one heap drain per instant instead of
-    one pop per event).  The per-event cost here tracks the cohort
-    machinery the multi-tenant experiments lean on.
+    Every tick lands 50 timeouts on one timestamp (a cohort), which the
+    run loop dispatches one by one in ``(time, priority, eid)`` order,
+    mostly through heap pops rather than the front slot.  The per-event
+    cost here tracks the fan-out the multi-tenant experiments lean on.
     """
     workers = 50
     ticks = 200

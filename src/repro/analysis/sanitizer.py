@@ -10,10 +10,10 @@ later.  Three attachment points:
 - :class:`SanitizedEnvironment` — a drop-in :class:`Environment`
   subclass whose dispatch path verifies, per event, that the virtual
   clock never runs backwards and that no pending same-instant entry
-  with a smaller ``(time, priority, eid)`` key was skipped (the exact
-  class of the PR 8 cohort-dispatch bug, where URGENT interlopers
-  parked in the front slot were dispatched after the cohort
-  remainder).  The checked loop replaces the inlined fast path of
+  with a smaller ``(time, priority, eid)`` key was skipped (the class
+  of bug where an URGENT entry parked in the front slot is dispatched
+  after same-instant heap entries).  The checked loop drives
+  :meth:`Environment.step` instead of the inlined fast path of
   :meth:`Environment.run`, so the production kernel keeps zero
   sanitizer attributes and zero extra branches when the sanitizer is
   off — enabling it swaps the class, not the code.
@@ -35,7 +35,6 @@ snippet of recent event history, formatted into the message.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop
 from typing import Any, List, Optional, Tuple
 
 from repro.sim.core import EmptySchedule, Environment, StopSimulation
@@ -78,8 +77,8 @@ class SanitizedEnvironment(Environment):
     """An :class:`Environment` whose dispatch path checks invariants.
 
     Semantics are identical to the base class — same queue structures,
-    same cohort batching (``_run_cohort`` is *inherited*, so kernel
-    bugs there are caught, not masked), same results — but every
+    same entry selection (:meth:`step` is *inherited*, so kernel bugs
+    there are caught, not masked), same results — but every
     dispatched entry is verified:
 
     - **monotonic clock**: an entry's time is never below the previous
@@ -87,8 +86,8 @@ class SanitizedEnvironment(Environment):
     - **cohort order**: at the moment an entry is dispatched, no
       pending entry (heap head or front slot) sorts before it.  In a
       correct kernel the dispatched entry is always the minimum of
-      everything pending; the PR 8 bug — front-slot URGENT interlopers
-      dispatched after the cohort remainder — breaks exactly this.
+      everything pending; a selection that overlooks an URGENT entry
+      parked in the front slot breaks exactly this.
     - **scheduling sanity**: ``schedule()`` rejects negative delays
       (the unchecked fast path would silently rewind the clock).
 
@@ -152,11 +151,9 @@ class SanitizedEnvironment(Environment):
     def run(self, until: Any = None) -> Any:
         """The checked twin of :meth:`Environment.run`.
 
-        Same entry-selection logic, but every event goes through
-        :meth:`_dispatch` (checked) instead of the inlined fast path,
-        and the cohort path uses the *inherited* ``_run_cohort`` — the
-        production batching code — whose per-event dispatches resolve
-        to the checked method.  Keeping the fast path free of sanitizer
+        Drives the inherited :meth:`step` — the kernel's uninlined
+        entry selection — whose dispatches resolve to the checked
+        :meth:`_dispatch`.  Keeping the fast path free of sanitizer
         hooks is what makes the feature zero-cost when off.
         """
         if self._halted:
@@ -165,25 +162,9 @@ class SanitizedEnvironment(Environment):
         if isinstance(until, tuple) and until[0] is self._ALREADY_DONE:
             return until[1]
 
-        queue = self._queue
         try:
             while not self._halted:
-                nxt = self._next
-                if nxt is not None and not (queue and queue[0] < nxt):
-                    self._next = None
-                    entry = nxt
-                elif queue:
-                    entry = heappop(queue)
-                else:
-                    raise EmptySchedule()
-                tnow = entry[0]
-                self._now = tnow
-                if (queue and queue[0][0] == tnow) or (
-                    self._next is not None and self._next[0] == tnow
-                ):
-                    self._run_cohort(entry, tnow)
-                    continue
-                self._dispatch(entry)
+                self.step()
             return self._halt_reason
         except StopSimulation as stop:
             return stop.value

@@ -223,7 +223,6 @@ class BlockQueue:
         queue_depth: int = 1,
         hedge: bool = False,
         health=None,
-        batch_pricing: bool = False,
     ):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
@@ -270,19 +269,6 @@ class BlockQueue:
         #: Cached device.serve (async device models); the device never
         #: changes after construction, so don't getattr per request.
         self._device_serve = getattr(device, "serve", None)
-        #: Fast-forward batch pricing: a kick that wakes several slots
-        #: prices their requests through one service_time_batch call.
-        #: Only meaningful with real fan-out, a synchronous device
-        #: model, and pricing that cannot raise (no fault wrapper) —
-        #: otherwise the flag is inert and dispatch is event-accurate.
-        self.batch_pricing = (
-            bool(batch_pricing)
-            and self.nslots > 1
-            and self._device_serve is None
-            and not getattr(device, "pricing_can_fail", False)
-        )
-        #: Requests pulled and priced by a batch pass, awaiting pickup.
-        self._prepriced: Deque[BlockRequest] = deque()
         self.slots = [DispatchSlot(i, env) for i in range(self.nslots)]
         #: Requests dispatched and not yet completed, in dispatch order.
         self.outstanding: List[BlockRequest] = []
@@ -355,44 +341,9 @@ class BlockQueue:
         if sleeping:
             if len(sleeping) > 1:
                 sleeping.sort(key=_slot_index)
-                if self.batch_pricing:
-                    self._preprice(len(sleeping))
             for slot in sleeping:
                 slot.kick_event.succeed()
             sleeping.clear()
-
-    def _preprice(self, limit: int) -> None:
-        """Pull up to *limit* queued requests and price them through one
-        ``service_time_batch`` call (fast-forward batch pricing).
-
-        Each pulled request opens its ``begin_service`` bracket here —
-        the slot that picks it up closes it — so the device prices the
-        whole same-tick cohort at its full concurrency instead of
-        watching ``active`` ramp up request by request.  Pricing is
-        channel-blind (``serving_channel`` stays None), which is why
-        fault-wrapped devices are never pre-priced.
-        """
-        scheduler = self.scheduler
-        batch: List[BlockRequest] = []
-        while len(batch) < limit:
-            request = scheduler.next_request()
-            if request is None:
-                break
-            batch.append(request)
-        if not batch:
-            return
-        device = self.device
-        for _ in batch:
-            device.begin_service()
-        durations = device.service_time_batch(
-            [r.op for r in batch],
-            [r.block for r in batch],
-            [r.nblocks for r in batch],
-        )
-        prepriced = self._prepriced
-        for request, duration in zip(batch, durations):
-            request.priced_duration = duration
-            prepriced.append(request)
 
     def _slot_loop(self, slot: DispatchSlot):
         env = self.env
@@ -414,10 +365,7 @@ class BlockQueue:
                 state = None
             if state is not None:
                 continue
-            if self._prepriced:
-                request = self._prepriced.popleft()
-            else:
-                request = self.scheduler.next_request()
+            request = self.scheduler.next_request()
             if request is None:
                 if slot.seen_seq != self.kick_seq:
                     continue  # a kick raced in while the scheduler was polled
@@ -495,36 +443,29 @@ class BlockQueue:
                     )
                 )
             error: Optional[DeviceError] = None
-            duration = request.priced_duration
-            if duration is not None:
-                # Priced by kick()'s batch pass; the begin_service
-                # bracket is already open and batch pricing cannot
-                # raise (fault-wrapped devices are never pre-priced).
-                request.priced_duration = None
-            else:
-                # The attempt occupies a device channel from here until
-                # its yield finishes (success, error latency, or timeout
-                # stall); channel-aware models read `device.active`
-                # inside service_time to price contention.
-                self.device.begin_service()
-                self.device.serving_channel = slot.index
-                try:
-                    duration = self.device.service_time(
-                        request.op, request.block, request.nblocks
-                    )
-                except DeviceError as exc:
-                    self.device.serving_channel = None
-                    if not exc.retryable:
-                        self.device.end_service()
-                        raise  # malformed request: a bug, not a device fault
-                    error = exc
-                    self.errors += 1
-                    slot.errors += 1
-                    if exc.latency > 0:
-                        yield self.env.timeout(exc.latency)
+            # The attempt occupies a device channel from here until
+            # its yield finishes (success, error latency, or timeout
+            # stall); channel-aware models read `device.active`
+            # inside service_time to price contention.
+            self.device.begin_service()
+            self.device.serving_channel = slot.index
+            try:
+                duration = self.device.service_time(
+                    request.op, request.block, request.nblocks
+                )
+            except DeviceError as exc:
+                self.device.serving_channel = None
+                if not exc.retryable:
                     self.device.end_service()
-                else:
-                    self.device.serving_channel = None
+                    raise  # malformed request: a bug, not a device fault
+                error = exc
+                self.errors += 1
+                slot.errors += 1
+                if exc.latency > 0:
+                    yield self.env.timeout(exc.latency)
+                self.device.end_service()
+            else:
+                self.device.serving_channel = None
             if error is None:
                 if self.request_timeout is not None and duration > self.request_timeout:
                     # The device stalled: the timeout fires and the

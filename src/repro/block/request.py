@@ -48,7 +48,6 @@ class BlockRequest:
         "error",
         "slot",
         "hedged",
-        "priced_duration",
     )
 
     _ids = itertools.count(1)
@@ -102,10 +101,6 @@ class BlockRequest:
         self.failed = False
         #: The final device error when :attr:`failed` (None otherwise).
         self.error: Optional[BaseException] = None
-        #: Service time pre-computed by the block queue's batch-pricing
-        #: pass (fast-forward mode only); consumed by the first serve
-        #: attempt, None otherwise.
-        self.priced_duration: Optional[float] = None
 
     @property
     def nbytes(self) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.obs.bus import DeviceDone, StackBus
 from repro.units import PAGE_SIZE
@@ -120,39 +120,9 @@ class Device:
         """The request's busy period on the device ended."""
         self.active -= 1
 
-    #: Whether :meth:`service_time` may raise for a well-formed request
-    #: (fault-injecting wrappers).  The block queue's batch-pricing pass
-    #: only prices devices whose pricing cannot fail, because a batch
-    #: has no per-element retry path.
-    pricing_can_fail = False
-
     def service_time(self, op: str, block: int, nblocks: int) -> float:
         """Seconds to serve the request; also advances device state."""
         raise NotImplementedError
-
-    def service_time_batch(
-        self,
-        ops: Sequence[str],
-        blocks: Sequence[int],
-        nblocks: Sequence[int],
-    ) -> List[float]:
-        """Price a batch of requests in one call.
-
-        Element-wise identical to calling :meth:`service_time` in a
-        loop — head-position and accounting state advance between
-        elements exactly as they would under per-request pricing, and
-        the channel-contention state (:attr:`active`) is whatever it is
-        at call time for every element, just as a pricing loop that
-        does not interleave ``begin_service`` would see.  Subclasses
-        override this with hoisted per-op cost tables so multi-slot
-        dispatch and fast-forward replay stop paying one full method
-        dispatch (attribute walks included) per request.
-        """
-        service_time = self.service_time
-        return [
-            service_time(op, block, n)
-            for op, block, n in zip(ops, blocks, nblocks)
-        ]
 
     def _account(self, op: str, nblocks: int, duration: float) -> None:
         nbytes = nblocks * PAGE_SIZE

@@ -32,8 +32,6 @@ class RAID0(Device):
         super().__init__(capacity_blocks=capacity, name=name)
         self.members = members
         self.stripe_blocks = stripe_blocks
-        #: A faulty member makes whole-array pricing fallible.
-        self.pricing_can_fail = any(m.pricing_can_fail for m in members)
 
     def attach_bus(self, bus, clock) -> None:
         """Adopt the bus on the array and every member device."""
@@ -74,43 +72,6 @@ class RAID0(Device):
         self._account(op, nblocks, duration)
         return duration
 
-    def service_time_batch(self, ops, blocks, nblocks):
-        """Batch pricing with the stripe-walk constants hoisted.
-
-        Members are priced per element, in element order, so their
-        head-position state advances exactly as under scalar pricing.
-        """
-        locate = self._locate
-        members = self.members
-        stripe = self.stripe_blocks
-        check = self._check_bounds
-        account = self._account
-        durations = []
-        append = durations.append
-        for op, block, count in zip(ops, blocks, nblocks):
-            check(block, count)
-            per_member: dict = {}
-            index = block
-            remaining = count
-            while remaining > 0:
-                member, member_block = locate(index)
-                run = min(remaining, stripe - (index % stripe))
-                start, length = per_member.get(member, (member_block, 0))
-                if length == 0:
-                    per_member[member] = (member_block, run)
-                else:
-                    per_member[member] = (start, length + run)
-                index += run
-                remaining -= run
-            duration = max(
-                members[m].service_time(op, start, length)
-                for m, (start, length) in per_member.items()
-            )
-            self._last_block_end = block + count
-            account(op, count, duration)
-            append(duration)
-        return durations
-
 
 class JitteryDevice(Device):
     """Wraps a device, adding seeded random latency spikes.
@@ -132,7 +93,6 @@ class JitteryDevice(Device):
         super().__init__(capacity_blocks=inner.capacity_blocks, name=f"jittery-{inner.name}")
         self.inner = inner
         self.channels = inner.channels  # transparent to multi-queue dispatch
-        self.pricing_can_fail = inner.pricing_can_fail
         self.spike_probability = spike_probability
         self.spike_duration = spike_duration
         self._rng = random.Random(seed)
@@ -159,24 +119,3 @@ class JitteryDevice(Device):
         self._last_block_end = block + nblocks
         self._account(op, nblocks, duration)
         return duration
-
-    def service_time_batch(self, ops, blocks, nblocks):
-        """Batch pricing; the seeded RNG is drawn once per element, in
-        element order, so spike placement is identical to scalar pricing.
-        """
-        inner_service = self.inner.service_time
-        draw = self._rng.random
-        probability = self.spike_probability
-        spike = self.spike_duration
-        account = self._account
-        durations = []
-        append = durations.append
-        for op, block, count in zip(ops, blocks, nblocks):
-            duration = inner_service(op, block, count)
-            if draw() < probability:
-                duration += spike
-                self.spikes += 1
-            self._last_block_end = block + count
-            account(op, count, duration)
-            append(duration)
-        return durations

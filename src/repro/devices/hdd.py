@@ -62,37 +62,3 @@ class HDD(Device):
         self._last_block_end = block + nblocks
         self._account(op, nblocks, duration)
         return duration
-
-    def service_time_batch(self, ops, blocks, nblocks):
-        """Batch pricing with the per-call cost table hoisted.
-
-        The per-op constants :meth:`service_time` re-reads from ``self``
-        on every call (page size over transfer rate, half a rotation)
-        are fetched once per batch; the arithmetic keeps the exact
-        expression shapes of the scalar path so results stay
-        bit-identical.  Head position advances per element.
-        """
-        page = PAGE_SIZE
-        rate = self.transfer_rate
-        half_rotation = self.rotation_time / 2
-        seek_time = self.seek_time
-        check = self._check_bounds
-        account = self._account
-        stats = self.stats
-        last = self._last_block_end
-        durations = []
-        append = durations.append
-        for op, block, count in zip(ops, blocks, nblocks):
-            check(block, count)
-            transfer = count * page / rate
-            if last is not None and block == last:
-                duration = transfer
-            else:
-                origin = last if last is not None else 0
-                duration = seek_time(origin, block) + half_rotation + transfer
-                stats.seeks += 1
-            last = block + count
-            self._last_block_end = last
-            account(op, count, duration)
-            append(duration)
-        return durations

@@ -3,12 +3,12 @@
 Structure mirrors the sanitizer's three attachment points:
 
 - :class:`SanitizedEnvironment` — equivalence with the production
-  kernel on the cohort-dispatch scenarios, then each check (negative
-  delay, monotonic clock, cohort order) tripped on purpose.  The
-  cohort-order test reintroduces the pre-fix ``_run_cohort`` (the PR 8
-  bug: mid-cohort interloper checks that never consult the front
-  slot) in a subclass and asserts the sanitizer converts the silent
-  reordering into a :class:`SanitizerError`.
+  kernel on the same-instant (cohort) scenarios, then each check
+  (negative delay, monotonic clock, cohort order) tripped on purpose.
+  The cohort-order test plants a selection bug in a subclass's
+  ``step()`` (same-instant heap entries taken ahead of the front slot)
+  and asserts the sanitizer converts the silent reordering into a
+  :class:`SanitizerError`.
 - :class:`StackSanitizer` — a real built machine with each bus-level
   invariant forced false (slot bound, request conservation, token
   conservation) plus the ``close()`` detach contract.
@@ -17,6 +17,7 @@ Structure mirrors the sanitizer's three attachment points:
 """
 
 import types
+from heapq import heappop
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.experiments.common import (
 )
 from repro.obs.bus import BlockComplete, DeviceStart
 from repro.sim import Environment
+from repro.sim.core import EmptySchedule
 from repro.sim.events import NORMAL
 from repro.sim.shard.channel import InterShardChannel
 from repro.sim.shard.message import ShardMessage
@@ -46,9 +48,8 @@ from repro.units import KB, MB
 
 
 def _front_slot_scenario(env):
-    """The PR 8 regression scenario: a process spawned mid-cohort parks
-    an URGENT Initialize in the front slot; it must run before the
-    cohort remainder."""
+    """A process spawned mid-cohort parks an URGENT Initialize in the
+    front slot; it must run before the cohort remainder."""
     fired = []
 
     def body():
@@ -137,46 +138,33 @@ def test_monotonic_clock_violation_raises():
 
 
 class BuggyCohortEnv(SanitizedEnvironment):
-    """SanitizedEnvironment with the PR 8 cohort bug reintroduced.
+    """SanitizedEnvironment with a same-instant selection bug planted.
 
-    This ``_run_cohort`` is the pre-fix loop: same-instant interloper
-    checks consult only the heap head, never the front slot — so an
+    This ``step()`` takes the heap head whenever it shares the current
+    instant, without comparing it against the front slot — so an
     URGENT Initialize parked in the slot mid-cohort is dispatched
-    *after* the cohort remainder.  The inherited checked ``_dispatch``
-    must turn that silent reordering into a SanitizerError.
+    *after* the cohort remainder.  The sanitizer's run loop drives
+    ``step()``, and the inherited checked ``_dispatch`` must turn that
+    silent reordering into a SanitizerError.
     """
 
     __slots__ = ()
 
-    def _run_cohort(self, entry, tnow):
-        from heapq import heappop, heappush
-
+    def step(self):
         queue = self._queue
-        cohort = [entry]
         nxt = self._next
-        if nxt is not None and nxt[0] == tnow:
-            heappush(queue, nxt)
+        # BUG: a same-instant heap head wins without consulting the slot.
+        if queue and queue[0][0] == self._now:
+            entry = heappop(queue)
+        elif nxt is not None and not (queue and queue[0] < nxt):
             self._next = None
-        while queue and queue[0][0] == tnow:
-            cohort.append(heappop(queue))
-        i = 0
-        n = len(cohort)
-        try:
-            while i < n:
-                if self._halted:
-                    break
-                # BUG (pre-fix): no check of self._next here.
-                if queue and queue[0][0] == tnow and queue[0] < cohort[i]:
-                    self._dispatch(heappop(queue))
-                    continue
-                entry = cohort[i]
-                i += 1
-                self._dispatch(entry)
-        except BaseException:
-            while i < n:
-                heappush(queue, cohort[i])
-                i += 1
-            raise
+            entry = nxt
+        elif queue:
+            entry = heappop(queue)
+        else:
+            raise EmptySchedule()
+        self._now = entry[0]
+        self._dispatch(entry)
 
 
 def test_reintroduced_cohort_bug_is_caught():

@@ -180,3 +180,17 @@ def test_step_on_empty_queue_raises():
     env = Environment()
     with pytest.raises(EmptySchedule):
         env.step()
+
+
+def test_step_on_halted_environment_dispatches_nothing():
+    # A power cut abandons pending events: stepping afterwards must not
+    # advance the clock or run the abandoned callback.
+    env = Environment()
+    fired = []
+    env.timeout(1).callbacks.append(lambda ev: fired.append(env.now))
+    env.halt("power")
+    env.step()
+    assert env.now == 0.0
+    assert fired == []
+    assert env.run() == "power"
+    assert fired == []
