@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.cache.page import Page, PageKey
 from repro.core.tags import EMPTY_CAUSES, TagManager
@@ -154,15 +155,19 @@ class PageCache:
 
     def dirty_pages_by_age(self, limit: Optional[int] = None) -> List[Page]:
         """Dirty pages not under writeback, oldest first."""
-        pages = []
+        return list(islice(self._iter_dirty_by_age(), limit))
+
+    def _iter_dirty_by_age(self) -> Iterator[Page]:
+        """Lazily walk the dirty pages not under writeback, oldest first.
+
+        The caller must stop pulling before anything mutates the dirty
+        set (a write completing, a page being dirtied or freed).
+        """
+        pages = self._pages
         for key in self._dirty:
-            page = self._pages[key]
-            if page.under_writeback:
-                continue
-            pages.append(page)
-            if limit is not None and len(pages) >= limit:
-                break
-        return pages
+            page = pages[key]
+            if not page.under_writeback:
+                yield page
 
     # -- mutation ----------------------------------------------------------
 
@@ -243,6 +248,10 @@ class PageCache:
             return None
         self._clean_lru.pop(key, None)
         if page.dirty:
+            # The page leaves the cache clean, so a write still in flight
+            # for it completes without touching the cache's accounting.
+            page.dirty = False
+            page.dirtied_at = None
             self._discard_dirty(key)
             self.dirty_bytes -= PAGE_SIZE
             self.tags.release_tag(page)

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from repro.cache.page import Page
 from repro.obs.bus import WritebackBatch
+from repro.sim.events import AllOf, AnyOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import PageCache
@@ -82,6 +83,10 @@ class WritebackDaemon:
         self._flush_target: float = float("inf")
         self.flushes = 0
         self.pages_flushed = 0
+        #: Passes of the flusher loop (timer expiries and kicks).
+        self.wakeups = 0
+        #: Pages pulled from the cache's age-ordered dirty walk.
+        self.pages_scanned = 0
         #: Write requests that failed permanently (their pages were
         #: re-dirtied by the block layer and will be retried later).
         self.write_errors = 0
@@ -134,9 +139,8 @@ class WritebackDaemon:
         while True:
             timer = self.env.timeout(config.wakeup_interval)
             self._kick = self.env.event()
-            from repro.sim.events import AnyOf
-
             yield AnyOf(self.env, [timer, self._kick])
+            self.wakeups += 1
             if not timer.processed:
                 # Kicked early: the losing timer has no other
                 # subscribers, so let the run loop sweep it lazily
@@ -159,17 +163,29 @@ class WritebackDaemon:
             self._wake_throttled()
 
     def _flush_expired(self):
-        cutoff = self.env.now - self.config.dirty_expire
-        expired = []
-        for page in self.cache.dirty_pages_by_age():
-            if page.dirtied_at > cutoff:
-                break  # age-ordered: the rest are younger
-            expired.append(page)
+        expired = self._expired_pages(self.env.now - self.config.dirty_expire)
         if expired:
             yield from self._writeback_pages(expired, reason="expired")
 
+    def _expired_pages(self, cutoff: float) -> List[Page]:
+        """Idle dirty pages dirtied at or before *cutoff*, oldest first.
+
+        The walk starts at the old end of the age-ordered dirty list and
+        stops at the first young page, so it costs O(expired + in-flight
+        head + 1), not O(dirty set).  The list is built before any write
+        is submitted, because completions mutate the dirty list.
+        """
+        expired = []
+        for page in self.cache._iter_dirty_by_age():
+            self.pages_scanned += 1
+            if page.dirtied_at > cutoff:
+                break  # age-ordered: the rest are younger
+            expired.append(page)
+        return expired
+
     def _flush_batch(self, max_pages: int):
         pages = self.cache.dirty_pages_by_age(limit=max_pages)
+        self.pages_scanned += len(pages)
         if not pages:
             return 0
         yield from self._writeback_pages(pages, reason="background")
@@ -196,8 +212,6 @@ class WritebackDaemon:
 
         # Pace the daemon: wait for the batch to reach the platter so we
         # do not flood the block queue unboundedly.
-        from repro.sim.events import AllOf
-
         if done_events:
             yield AllOf(self.env, done_events)
             # A kernel flusher survives I/O errors: failed pages are

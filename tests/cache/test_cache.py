@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import CauseSet, TagManager
+from repro.obs.bus import PageCleaned
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
@@ -96,6 +97,43 @@ def test_redirty_during_writeback_stays_dirty():
     cache.mark_dirty(key, task)  # modified mid-flight
     page.write_completed()
     assert page.dirty
+    assert cache.dirty_bytes == PAGE_SIZE
+
+
+def test_freeing_a_page_mid_writeback_keeps_dirty_accounting():
+    """The freed page's write completes without cleaning it a second time."""
+    env, tags, cache = make_cache()
+    task = Task("t")
+    cleaned = []
+    cache.bus.subscribe(PageCleaned, lambda event: cleaned.append(event.page))
+    key = PageKey(1, 0)
+    page = cache.mark_dirty(key, task)
+    page.write_submitted()
+    cache.free(key)
+    page.write_completed()
+    assert cache.dirty_bytes == 0
+    assert cache.dirty_pages == 0
+    assert cleaned == []
+    assert not page.dirty and page.dirtied_at is None
+    # A second dirty page is accounted once, not offset by the first.
+    cache.mark_dirty(PageKey(1, 1), task)
+    assert cache.dirty_bytes == PAGE_SIZE == cache.dirty_pages * PAGE_SIZE
+
+
+def test_freed_page_write_completion_keeps_redirtied_page_indexed():
+    """A late completion of a freed page must not un-index its successor."""
+    env, tags, cache = make_cache()
+    task = Task("t")
+    key = PageKey(1, 0)
+    old = cache.mark_dirty(key, task)
+    old.write_submitted()
+    cache.free(key)
+    new = cache.mark_dirty(key, task)
+    assert new is not old
+    old.write_completed()
+    assert new.dirty
+    assert cache.dirty_pages_by_age() == [new]
+    assert cache.dirty_pages_of(1) == [new]
     assert cache.dirty_bytes == PAGE_SIZE
 
 

@@ -142,3 +142,46 @@ def test_writeback_submits_as_proxy_with_true_causes():
     assert a.pid in all_causes
     assert b.pid in all_causes
     assert machine.writeback.task.pid not in all_causes
+
+
+def test_expiry_wakeup_scans_only_up_to_first_young_page():
+    """A kick over a young dirty set pulls one page, not the whole set."""
+    env, machine = make_os(memory=1024 * MB)  # 16 MB dirty: under background
+    daemon = machine.writeback
+    task = machine.spawn("w")
+    kicks = 50
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.append(4096 * 4 * KB)
+        assert machine.cache.dirty_pages == 4096
+        wakeups, scanned = daemon.wakeups, daemon.pages_scanned
+        for _ in range(kicks):
+            daemon.kick()
+            yield env.timeout(0.001)
+        return daemon.wakeups - wakeups, daemon.pages_scanned - scanned
+
+    p = env.process(proc())
+    env.run(until=p)
+    wakeups, scanned = p.value
+    assert wakeups == kicks
+    assert scanned <= kicks
+    assert daemon.pages_flushed == 0
+    assert machine.cache.dirty_pages == 4096
+
+
+def test_expired_pages_counted_as_scanned_and_flushed():
+    config = WritebackConfig(dirty_expire=2.0, wakeup_interval=1.0)
+    env, machine = make_os(memory=1024 * MB, config=config)
+    task = machine.spawn("w")
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.append(64 * KB)
+        yield env.timeout(10)
+
+    env.run(until=env.process(proc()))
+    daemon = machine.writeback
+    assert daemon.pages_flushed == 16
+    # Each wakeup pulls its expired pages plus at most one young page.
+    assert 16 <= daemon.pages_scanned <= 16 + daemon.wakeups
